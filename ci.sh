@@ -17,6 +17,9 @@ cargo test -q
 echo "== full workspace tests =="
 cargo test -q --workspace
 
+echo "== perfbench unit tests (a package outside the workspace) =="
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== sg-sync with runtime invariant assertions enabled =="
 cargo test -q -p sg-sync --features sg-invariants
 

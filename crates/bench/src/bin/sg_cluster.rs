@@ -22,7 +22,9 @@
 //! 1SR verdict, and counter totals. `--threads` swaps processes for
 //! threads (same wire protocol, same sockets; what CI smoke uses for
 //! speed). `--fault 1:drop=3,kill=12` injects deterministic data-plane
-//! faults at worker 1's 3rd/12th frames.
+//! faults at worker 1's 3rd/12th frames. `--trace` records the workers'
+//! trace rings and writes the merged Chrome trace
+//! `results/TRACE_net_run.json` plus `results/REPORT_net_run.txt`.
 //!
 //! `bench` is the netbench lane: greedy coloring across all four
 //! techniques (plus the unsynchronized baseline), emitting
@@ -52,6 +54,7 @@ use sg_bench::json::Json;
 use sg_bench::{emit_obs, BenchLog};
 use sg_core::sg_algos::validate;
 use sg_core::sg_graph::{gen, Graph, VertexId};
+use sg_core::sg_metrics::ObsReport;
 use sg_core::sg_net::{self, http_get, parse_fault_plan, FaultPlan, SpawnMode, Workload};
 use sg_core::{NetworkOptions, Runner, Technique};
 use std::collections::BTreeMap;
@@ -440,6 +443,7 @@ fn execute(a: &RunArgs) -> Result<bool, String> {
                 out.converged, out.supersteps, out.wall_time
             );
             print_counters(&out.metrics);
+            write_trace(a, out.obs.as_ref())?;
         }
         Workload::Sssp(source) => {
             let out = runner
@@ -454,6 +458,7 @@ fn execute(a: &RunArgs) -> Result<bool, String> {
                 out.values.iter().filter(|&&d| d != u64::MAX).count()
             );
             print_counters(&out.metrics);
+            write_trace(a, out.obs.as_ref())?;
         }
         Workload::Mis => {
             let out = runner.run_mis().map_err(|e| e.to_string())?;
@@ -468,6 +473,7 @@ fn execute(a: &RunArgs) -> Result<bool, String> {
                 members.iter().filter(|&&m| m).count()
             );
             print_counters(&out.metrics);
+            write_trace(a, out.obs.as_ref())?;
         }
         Workload::Pagerank(threshold) => {
             let out = runner.run_pagerank(threshold).map_err(|e| e.to_string())?;
@@ -480,9 +486,23 @@ fn execute(a: &RunArgs) -> Result<bool, String> {
                 out.values.iter().sum::<f64>()
             );
             print_counters(&out.metrics);
+            write_trace(a, out.obs.as_ref())?;
         }
     }
     Ok(ok)
+}
+
+/// `run --trace`: write the merged Chrome trace and the run report the
+/// way `bench` does, as `TRACE_net_run.json` and `REPORT_net_run.txt`
+/// under the results directory.
+fn write_trace(a: &RunArgs, obs: Option<&ObsReport>) -> Result<(), String> {
+    if !a.trace {
+        return Ok(());
+    }
+    let obs = obs.ok_or("--trace: the run recorded no trace events")?;
+    let workload = format!("{}/{}", a.workload.name(), a.graph_spec);
+    emit_obs("net_run", None, obs, a.technique.label(), &workload)
+        .map_err(|e| format!("writing trace: {e}"))
 }
 
 fn print_counters(m: &sg_core::sg_metrics::MetricsSnapshot) {

@@ -352,35 +352,41 @@ impl PartitionMap {
             vertices_in_partition[partition_of[v.index()].index()].push(v);
         }
 
-        let mut class = Vec::with_capacity(g.num_vertices() as usize);
+        // Walk partition by partition so one stamp per partition (`seen`)
+        // deduplicates its neighbor partitions as they are found: no
+        // per-vertex neighbor list, no list of cross edges to sort.
+        let mut class = vec![VertexClass::PInternal; g.num_vertices() as usize];
         let mut partition_neighbors: Vec<Vec<PartitionId>> = vec![Vec::new(); np];
-        for v in g.vertices() {
-            let pv = partition_of[v.index()];
-            let wv = layout.worker_of_partition(pv);
-            let mut has_local_cross = false;
-            let mut has_remote = false;
-            for u in g.neighbors(v) {
-                let pu = partition_of[u.index()];
-                if pu == pv {
-                    continue;
+        let mut seen = vec![usize::MAX; np];
+        for (pi, members) in vertices_in_partition.iter().enumerate() {
+            let wv = layout.worker_of_partition(PartitionId::new(pi as u32));
+            let nbrs = &mut partition_neighbors[pi];
+            for &v in members {
+                let mut has_local_cross = false;
+                let mut has_remote = false;
+                for &u in g.out_neighbors(v).iter().chain(g.in_neighbors(v)) {
+                    let pu = partition_of[u.index()];
+                    if pu.index() == pi {
+                        continue;
+                    }
+                    if seen[pu.index()] != pi {
+                        seen[pu.index()] = pi;
+                        nbrs.push(pu);
+                    }
+                    if layout.worker_of_partition(pu) == wv {
+                        has_local_cross = true;
+                    } else {
+                        has_remote = true;
+                    }
                 }
-                partition_neighbors[pv.index()].push(pu);
-                if layout.worker_of_partition(pu) == wv {
-                    has_local_cross = true;
-                } else {
-                    has_remote = true;
-                }
+                class[v.index()] = match (has_local_cross, has_remote) {
+                    (false, false) => VertexClass::PInternal,
+                    (true, false) => VertexClass::LocalBoundary,
+                    (false, true) => VertexClass::RemoteBoundary,
+                    (true, true) => VertexClass::MixedBoundary,
+                };
             }
-            class.push(match (has_local_cross, has_remote) {
-                (false, false) => VertexClass::PInternal,
-                (true, false) => VertexClass::LocalBoundary,
-                (false, true) => VertexClass::RemoteBoundary,
-                (true, true) => VertexClass::MixedBoundary,
-            });
-        }
-        for nbrs in &mut partition_neighbors {
             nbrs.sort_unstable();
-            nbrs.dedup();
         }
 
         Self {
@@ -573,6 +579,54 @@ mod tests {
         assert_eq!(pm.partition_neighbors(p(2)), &[p(0), p(1), p(3)]);
         assert_eq!(pm.partition_neighbors(p(3)), &[p(2)]);
         assert_eq!(pm.num_partition_edges(), 4);
+    }
+
+    #[test]
+    fn from_assignment_matches_a_merged_neighbor_list_reference() {
+        // Reference: classify each vertex from `Graph::neighbors` and
+        // collect, sort and dedup every cross-partition edge.
+        let mut rng = crate::rng::SplitMix64::new(7);
+        for (n, m, workers, ppw) in [(40, 120, 2, 2), (64, 300, 3, 4), (25, 25, 5, 5)] {
+            let mut edges: Vec<(u32, u32)> = (0..m)
+                .map(|_| (rng.gen_range(n) as u32, rng.gen_range(n) as u32))
+                .collect();
+            edges.extend([(0, 0), (1, 2), (1, 2)]); // a self-loop, a duplicate
+            let g = Graph::from_edges(n as u32, &edges);
+            let layout = ClusterLayout::new(workers, ppw);
+            let np = layout.num_partitions() as u64;
+            let assignment: Vec<PartitionId> =
+                g.vertices().map(|_| p(rng.gen_range(np) as u32)).collect();
+            let pm = PartitionMap::from_assignment(&g, layout, assignment.clone());
+            let mut expected: Vec<Vec<PartitionId>> = vec![Vec::new(); np as usize];
+            for vtx in g.vertices() {
+                let pv = assignment[vtx.index()];
+                let (mut local, mut remote) = (false, false);
+                for u in g.neighbors(vtx) {
+                    let pu = assignment[u.index()];
+                    if pu == pv {
+                        continue;
+                    }
+                    expected[pv.index()].push(pu);
+                    if layout.worker_of_partition(pu) == layout.worker_of_partition(pv) {
+                        local = true;
+                    } else {
+                        remote = true;
+                    }
+                }
+                let class = match (local, remote) {
+                    (false, false) => VertexClass::PInternal,
+                    (true, false) => VertexClass::LocalBoundary,
+                    (false, true) => VertexClass::RemoteBoundary,
+                    (true, true) => VertexClass::MixedBoundary,
+                };
+                assert_eq!(pm.class_of(vtx), class, "class of {vtx:?}");
+            }
+            for (i, nbrs) in expected.iter_mut().enumerate() {
+                nbrs.sort_unstable();
+                nbrs.dedup();
+                assert_eq!(pm.partition_neighbors(p(i as u32)), nbrs.as_slice());
+            }
+        }
     }
 
     #[test]

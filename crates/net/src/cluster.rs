@@ -17,7 +17,7 @@ use std::collections::{HashMap, HashSet, VecDeque};
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 use sg_engine::TechniqueKind;
@@ -32,7 +32,7 @@ use sg_sync::{
 };
 
 use crate::audit::{AuditConfig, AuditHub};
-use crate::link::{CtrlConn, FrameReader};
+use crate::link::{Acceptor, CtrlConn, FrameReader};
 use crate::telemetry::{QueryService, TelemetryHub, TelemetryServer};
 use crate::wire::{
     read_frame, FaultPlan, Message, RunSpec, WireError, WireMetricRow, WireTraceEvent, WireTxn,
@@ -295,9 +295,9 @@ pub(crate) fn build_technique(
 /// one lock keeps the ordering trivially sound).
 struct CoordState {
     compute_done: u32,
-    votes: u32,
-    active_total: u64,
-    pending_total: u64,
+    /// This superstep's `ComputeDone` counts, summed over the workers
+    /// that have reported so far.
+    vote: VoteTally,
     goodbyes: u32,
     values: Vec<Option<Vec<u8>>>,
     txns: Vec<WireTxn>,
@@ -306,6 +306,21 @@ struct CoordState {
     flush_pending: HashMap<(u32, u32), u64>,
     flush_done: HashSet<u64>,
     failed: Option<String>,
+}
+
+/// Summed `ComputeDone` counts. The run has converged when no vertex is
+/// awake and every message sent has been consumed.
+#[derive(Default)]
+struct VoteTally {
+    unhalted: u64,
+    sent: u64,
+    consumed: u64,
+}
+
+impl VoteTally {
+    fn converged(&self) -> bool {
+        self.unhalted == 0 && self.sent == self.consumed
+    }
 }
 
 struct Coord {
@@ -782,7 +797,7 @@ impl QueryService for ClusterQueryService {
 pub fn run_cluster(graph: &Graph, cfg: &ClusterConfig) -> Result<ClusterOutcome, NetError> {
     validate(cfg)?;
     let layout = ClusterLayout::new(cfg.workers, cfg.partitions_per_worker);
-    let assignment: Vec<u32> = match &cfg.explicit_partitions {
+    let pm = Arc::new(match &cfg.explicit_partitions {
         Some(parts) => {
             if parts.len() != graph.num_vertices() as usize {
                 return Err(NetError::Config(format!(
@@ -791,22 +806,19 @@ pub fn run_cluster(graph: &Graph, cfg: &ClusterConfig) -> Result<ClusterOutcome,
                     graph.num_vertices()
                 )));
             }
-            parts.clone()
-        }
-        None => {
-            let pm = PartitionMap::build(
+            PartitionMap::from_assignment(
                 graph,
                 layout,
-                &sg_graph::partition::HashPartitioner::new(cfg.partition_seed),
-            );
-            graph.vertices().map(|v| pm.partition_of(v).raw()).collect()
+                parts.iter().map(|&p| PartitionId::new(p)).collect(),
+            )
         }
-    };
-    let pm = Arc::new(PartitionMap::from_assignment(
-        graph,
-        layout,
-        assignment.iter().map(|&p| PartitionId::new(p)).collect(),
-    ));
+        None => PartitionMap::build(
+            graph,
+            layout,
+            &sg_graph::partition::HashPartitioner::new(cfg.partition_seed),
+        ),
+    });
+    let assignment: Vec<u32> = graph.vertices().map(|v| pm.partition_of(v).raw()).collect();
 
     let listener = TcpListener::bind(&cfg.bind_addr)?;
     let coord_addr = listener.local_addr()?.to_string();
@@ -915,61 +927,58 @@ fn drive(
 
     // Phase 1: collect one Hello per rank. Raw frame reads are safe here:
     // a worker sends nothing after Hello until it sees Setup.
-    listener.set_nonblocking(true)?;
+    let (tx, rx) = mpsc::channel();
+    let acceptor = Acceptor::spawn(listener, "sg-net-coord-accept".into(), move |stream| {
+        let _ = tx.send(stream);
+    })?;
     let deadline = Instant::now() + SETUP_TIMEOUT;
     let mut pending: Vec<Option<(TcpStream, String)>> = (0..cfg.workers).map(|_| None).collect();
     let mut joined = 0;
     while joined < cfg.workers {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                stream.set_nonblocking(false)?;
-                let mut raw = &stream;
-                let hello = match read_frame(&mut raw)? {
-                    Some(Ok(frame)) => frame,
-                    _ => return Err(NetError::Protocol("bad Hello frame".into())),
-                };
-                clock.join(hello.clock);
-                match hello.msg {
-                    Message::Hello {
-                        version,
-                        rank,
-                        data_addr,
-                    } if version == PROTOCOL_VERSION => {
-                        let slot = pending.get_mut(rank as usize).ok_or_else(|| {
-                            NetError::Protocol(format!("rank {rank} out of range"))
-                        })?;
-                        if slot.is_some() {
-                            return Err(NetError::Protocol(format!("duplicate rank {rank}")));
-                        }
-                        *slot = Some((stream, data_addr));
-                        joined += 1;
-                    }
-                    Message::Hello { version, .. } => {
-                        return Err(NetError::Wire(WireError::VersionMismatch {
-                            ours: PROTOCOL_VERSION,
-                            theirs: version,
-                        }))
-                    }
-                    other => {
-                        return Err(NetError::Protocol(format!(
-                            "expected Hello, got kind {}",
-                            other.kind()
-                        )))
-                    }
+        let stream = rx
+            .recv_timeout(deadline.saturating_duration_since(Instant::now()))
+            .map_err(|_| {
+                NetError::Protocol(format!(
+                    "only {joined}/{} workers joined within {SETUP_TIMEOUT:?}",
+                    cfg.workers
+                ))
+            })?;
+        let mut raw = &stream;
+        let hello = match read_frame(&mut raw)? {
+            Some(Ok(frame)) => frame,
+            _ => return Err(NetError::Protocol("bad Hello frame".into())),
+        };
+        clock.join(hello.clock);
+        match hello.msg {
+            Message::Hello {
+                version,
+                rank,
+                data_addr,
+            } if version == PROTOCOL_VERSION => {
+                let slot = pending
+                    .get_mut(rank as usize)
+                    .ok_or_else(|| NetError::Protocol(format!("rank {rank} out of range")))?;
+                if slot.is_some() {
+                    return Err(NetError::Protocol(format!("duplicate rank {rank}")));
                 }
+                *slot = Some((stream, data_addr));
+                joined += 1;
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                if Instant::now() >= deadline {
-                    return Err(NetError::Protocol(format!(
-                        "only {joined}/{} workers joined within {SETUP_TIMEOUT:?}",
-                        cfg.workers
-                    )));
-                }
-                std::thread::sleep(Duration::from_millis(5));
+            Message::Hello { version, .. } => {
+                return Err(NetError::Wire(WireError::VersionMismatch {
+                    ours: PROTOCOL_VERSION,
+                    theirs: version,
+                }))
             }
-            Err(e) => return Err(NetError::Io(e)),
+            other => {
+                return Err(NetError::Protocol(format!(
+                    "expected Hello, got kind {}",
+                    other.kind()
+                )))
+            }
         }
     }
+    acceptor.stop();
 
     // Phase 2: wrap control connections, ship Setup + PeerMap.
     let epoch_ns = SystemTime::now()
@@ -1060,9 +1069,7 @@ fn drive(
     let coord = Arc::new(Coord {
         state: Mutex::new(CoordState {
             compute_done: 0,
-            votes: 0,
-            active_total: 0,
-            pending_total: 0,
+            vote: VoteTally::default(),
             goodbyes: 0,
             values: vec![None; graph.num_vertices() as usize],
             txns: Vec::new(),
@@ -1137,7 +1144,8 @@ fn drive(
         );
     }
 
-    // Phase 4: the superstep driver (two-phase barrier per superstep).
+    // Phase 4: the superstep driver (one round trip per superstep: the
+    // `ComputeDone` frames carry the barrier votes).
     let start = Instant::now();
     let mut superstep = 0u64;
     let converged;
@@ -1145,19 +1153,10 @@ fn drive(
         for rank in 0..cfg.workers {
             coord.send(rank, &Message::StartSuperstep { superstep });
         }
-        coord.wait_for("compute-done barrier", BARRIER_TIMEOUT, |st| {
-            (st.compute_done >= cfg.workers).then(|| st.compute_done = 0)
-        })?;
-        for rank in 0..cfg.workers {
-            coord.send(rank, &Message::ReportRequest { superstep });
-        }
-        let (active, _pending) = coord.wait_for("barrier votes", BARRIER_TIMEOUT, |st| {
-            (st.votes >= cfg.workers).then(|| {
-                st.votes = 0;
-                let out = (st.active_total, st.pending_total);
-                st.active_total = 0;
-                st.pending_total = 0;
-                out
+        let vote = coord.wait_for("compute-done barrier", BARRIER_TIMEOUT, |st| {
+            (st.compute_done >= cfg.workers).then(|| {
+                st.compute_done = 0;
+                std::mem::take(&mut st.vote)
             })
         })?;
         sync.end_superstep(superstep, &transport);
@@ -1168,7 +1167,7 @@ fn drive(
         metrics.inc(Counter::Barriers);
         metrics.inc(Counter::Supersteps);
         superstep += 1;
-        if active == 0 {
+        if vote.converged() {
             converged = true;
             break;
         }
@@ -1289,7 +1288,7 @@ fn reader_thread(
             Err(_) => break,
         };
         match msg {
-            Message::ComputeDone { superstep } if superstep == GOODBYE_SUPERSTEP => {
+            Message::ComputeDone { superstep, .. } if superstep == GOODBYE_SUPERSTEP => {
                 // The rank's audit stream is complete: it no longer
                 // holds the merge frontier back.
                 if let Some(a) = &coord.audit {
@@ -1300,18 +1299,17 @@ fn reader_thread(
                 coord.cv.notify_all();
                 clean_exit = true;
             }
-            Message::ComputeDone { .. } => {
-                let mut st = coord.state.lock().unwrap();
-                st.compute_done += 1;
-                coord.cv.notify_all();
-            }
-            Message::BarrierVote {
-                active, pending, ..
+            Message::ComputeDone {
+                unhalted,
+                sent,
+                consumed,
+                ..
             } => {
                 let mut st = coord.state.lock().unwrap();
-                st.votes += 1;
-                st.active_total += active;
-                st.pending_total += pending;
+                st.compute_done += 1;
+                st.vote.unhalted += unhalted;
+                st.vote.sent += sent;
+                st.vote.consumed += consumed;
                 coord.cv.notify_all();
             }
             Message::AcquireUnit { unit } => queues[rank as usize].push(ExecReq::Acquire(unit)),

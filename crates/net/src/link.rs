@@ -34,10 +34,11 @@
 //! (determinism) and applied at submission time.
 
 use std::collections::VecDeque;
-use std::io::{BufReader, IoSlice, Write};
-use std::net::{Shutdown, TcpStream};
+use std::io::{BufReader, ErrorKind, IoSlice, Write};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::fault::{FaultAction, FaultInjector};
@@ -180,6 +181,89 @@ fn write_handshake(
         },
     };
     (&mut (&*stream)).write_all(&frame.encode())
+}
+
+// ---------------------------------------------------------------------------
+// Acceptor
+// ---------------------------------------------------------------------------
+
+/// A listener served by blocking `accept` calls on a dedicated thread,
+/// which hands every accepted stream to the caller's callback. Nothing
+/// polls: a connection is picked up the moment it arrives, and
+/// [`Acceptor::stop`] (or drop) sets the stop flag and makes one
+/// self-connect to wake the blocked `accept`, then joins the thread.
+pub struct Acceptor {
+    addr: SocketAddr,
+    stop: Arc<AtomicBool>,
+    thread: Option<JoinHandle<()>>,
+}
+
+impl Acceptor {
+    /// Take over `listener` and serve it on a thread named `name`.
+    pub fn spawn(
+        listener: TcpListener,
+        name: String,
+        mut on_stream: impl FnMut(TcpStream) + Send + 'static,
+    ) -> std::io::Result<Acceptor> {
+        let addr = listener.local_addr()?;
+        listener.set_nonblocking(false)?;
+        let stop = Arc::new(AtomicBool::new(false));
+        let stop2 = Arc::clone(&stop);
+        let thread = std::thread::Builder::new().name(name).spawn(move || loop {
+            let accepted = listener.accept();
+            if stop2.load(Ordering::SeqCst) {
+                return;
+            }
+            match accepted {
+                Ok((stream, _)) => on_stream(stream),
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        ErrorKind::Interrupted | ErrorKind::ConnectionAborted
+                    ) => {}
+                Err(_) => return,
+            }
+        })?;
+        Ok(Acceptor {
+            addr,
+            stop,
+            thread: Some(thread),
+        })
+    }
+
+    /// The address the listener is bound to.
+    pub fn addr(&self) -> SocketAddr {
+        self.addr
+    }
+
+    /// Stop accepting and join the accept thread.
+    pub fn stop(mut self) {
+        self.shutdown();
+    }
+
+    fn shutdown(&mut self) {
+        let Some(thread) = self.thread.take() else {
+            return;
+        };
+        self.stop.store(true, Ordering::SeqCst);
+        // The wake-up connection: an unspecified bind address is reached
+        // over loopback. If it fails, the thread already left its loop.
+        let mut wake = self.addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        let _ = TcpStream::connect_timeout(&wake, HANDSHAKE_TIMEOUT);
+        let _ = thread.join();
+    }
+}
+
+impl Drop for Acceptor {
+    fn drop(&mut self) {
+        self.shutdown();
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1113,7 +1197,6 @@ pub fn accept_handshake(
 mod tests {
     use super::*;
     use crate::wire::MsgBatch;
-    use std::net::TcpListener;
     use std::sync::atomic::AtomicUsize;
 
     type RecordedBatch = (u32, Vec<(u32, u32, u64)>);
@@ -1406,5 +1489,55 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Run `f` on a helper thread and fail the test (instead of hanging
+    /// the suite) if it does not return within `limit`.
+    fn within<T: Send + 'static>(limit: Duration, f: impl FnOnce() -> T + Send + 'static) -> T {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(f());
+        });
+        rx.recv_timeout(limit).expect("did not return in time")
+    }
+
+    #[test]
+    fn acceptor_stop_without_any_connection_joins_its_thread() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let acceptor = Acceptor::spawn(listener, "test-accept".into(), |_| {
+            panic!("no connection was made")
+        })
+        .unwrap();
+        let addr = acceptor.addr();
+        // A blocked accept never returns by itself: only the wake-up
+        // connection lets stop() join the thread.
+        within(Duration::from_secs(10), move || acceptor.stop());
+        // The joined thread owned the listener, so the port is closed.
+        assert!(TcpStream::connect(addr).is_err(), "listener still open");
+    }
+
+    #[test]
+    fn acceptor_hands_every_connection_to_its_callback_and_stops_on_drop() {
+        let listener = TcpListener::bind("0.0.0.0:0").unwrap();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let acceptor = Acceptor::spawn(listener, "test-accept".into(), move |s| {
+            let _ = tx.send(s.peer_addr().unwrap());
+        })
+        .unwrap();
+        let port = acceptor.addr().port();
+        let clients: Vec<TcpStream> = (0..3)
+            .map(|_| TcpStream::connect(("127.0.0.1", port)).unwrap())
+            .collect();
+        let mut seen: Vec<SocketAddr> = (0..clients.len())
+            .map(|_| rx.recv_timeout(Duration::from_secs(5)).unwrap())
+            .collect();
+        let mut expected: Vec<SocketAddr> =
+            clients.iter().map(|c| c.local_addr().unwrap()).collect();
+        seen.sort();
+        expected.sort();
+        assert_eq!(seen, expected);
+        // An unspecified bind address is woken over loopback.
+        within(Duration::from_secs(10), move || drop(acceptor));
+        assert!(rx.recv_timeout(Duration::from_millis(100)).is_err());
     }
 }

@@ -27,13 +27,13 @@
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use sg_metrics::{Telemetry, TelemetrySnapshot};
 
 use crate::audit::AuditHub;
+use crate::link::Acceptor;
 
 /// Aggregates the coordinator registry and the latest snapshot from each
 /// worker into one cluster-wide view.
@@ -95,8 +95,7 @@ pub trait QueryService: Send + Sync {
 pub struct TelemetryServer {
     /// The address actually bound (resolves `:0` requests).
     pub addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    thread: Option<std::thread::JoinHandle<()>>,
+    acceptor: Acceptor,
 }
 
 impl TelemetryServer {
@@ -124,53 +123,22 @@ impl TelemetryServer {
         query: Option<Arc<dyn QueryService>>,
     ) -> std::io::Result<TelemetryServer> {
         let listener = TcpListener::bind(addr)?;
-        let bound = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = Arc::clone(&stop);
         let started = Instant::now();
-        let thread = std::thread::Builder::new()
-            .name("sg-net-telemetry".into())
-            .spawn(move || {
-                while !stop2.load(Ordering::SeqCst) {
-                    match listener.accept() {
-                        Ok((stream, _)) => {
-                            // Serve inline: scrapes are small and rare, and
-                            // a slow client cannot block the cluster (only
-                            // this loop, briefly, behind a read timeout).
-                            let _ = serve_one(
-                                stream,
-                                &hub,
-                                audit.as_deref(),
-                                query.as_deref(),
-                                started,
-                            );
-                        }
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(Duration::from_millis(25));
-                        }
-                        Err(_) => break,
-                    }
-                }
-            })
-            .expect("spawn telemetry server");
+        // Serve inline: scrapes are small and rare, and a slow client
+        // cannot block the cluster (only this listener, briefly, behind a
+        // read timeout).
+        let acceptor = Acceptor::spawn(listener, "sg-net-telemetry".into(), move |stream| {
+            let _ = serve_one(stream, &hub, audit.as_deref(), query.as_deref(), started);
+        })?;
         Ok(TelemetryServer {
-            addr: bound,
-            stop,
-            thread: Some(thread),
+            addr: acceptor.addr(),
+            acceptor,
         })
     }
 
     /// Stop accepting and join the server thread.
-    pub fn stop(self) {}
-}
-
-impl Drop for TelemetryServer {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
+    pub fn stop(self) {
+        self.acceptor.stop();
     }
 }
 

@@ -44,8 +44,11 @@ pub const MAX_FRAME_LEN: usize = 64 << 20;
 /// per message (unblocking MIS/PageRank over the cluster), `PeerHello`
 /// gained a `features` negotiation bitfield, and the negotiated
 /// [`FEATURE_COMPRESS`] bit enables the compressed `BatchFlushZ` frame for
-/// large batches (built with the `wire-compress` cargo feature).
-pub const PROTOCOL_VERSION: u8 = 5;
+/// large batches (built with the `wire-compress` cargo feature). v6 folds
+/// the barrier into one round trip: `ComputeDone` carries the worker's
+/// unhalted-vertex count and its cumulative sent/consumed message counts,
+/// and the `ReportRequest`/`BarrierVote` exchange (kinds 14 and 3) is gone.
+pub const PROTOCOL_VERSION: u8 = 6;
 
 /// `PeerHello::features` bit: this side can *decode* compressed
 /// `BatchFlushZ` frames. A sender compresses only when both sides
@@ -564,19 +567,19 @@ pub enum Message {
         /// `host:port` of this worker's data-plane listener.
         data_addr: String,
     },
-    /// Compute for `superstep` finished and all staged batches flushed.
+    /// Compute for `superstep` finished and all staged batches flushed;
+    /// doubles as the worker's barrier vote. The run has converged when,
+    /// summed over all workers, `unhalted` is 0 and `sent` equals
+    /// `consumed`: no vertex is awake and no message is waiting anywhere.
     ComputeDone {
         /// The completed superstep.
         superstep: u64,
-    },
-    /// Quiescent state report (phase two of the barrier).
-    BarrierVote {
-        /// The completed superstep.
-        superstep: u64,
-        /// Vertices still active (unhalted or with undelivered input).
-        active: u64,
-        /// Messages applied but not yet consumed by their target vertex.
-        pending: u64,
+        /// Owned vertices that have not voted to halt.
+        unhalted: u64,
+        /// Messages this worker's vertices sent, cumulative over the run.
+        sent: u64,
+        /// Messages this worker's vertices consumed, cumulative.
+        consumed: u64,
     },
     /// Blocking lock-acquire request for a partition or vertex unit.
     AcquireUnit {
@@ -681,11 +684,6 @@ pub enum Message {
         /// The superstep to run.
         superstep: u64,
     },
-    /// All workers reached quiescence; report your barrier vote.
-    ReportRequest {
-        /// The superstep being voted on.
-        superstep: u64,
-    },
     /// The blocking acquire for `unit` succeeded; compute may proceed.
     UnitGranted {
         /// Unit id.
@@ -774,7 +772,6 @@ pub enum Message {
 
 const K_HELLO: u8 = 1;
 const K_COMPUTE_DONE: u8 = 2;
-const K_BARRIER_VOTE: u8 = 3;
 const K_ACQUIRE_UNIT: u8 = 4;
 const K_RELEASE_UNIT: u8 = 5;
 const K_FLUSH_DONE: u8 = 6;
@@ -785,7 +782,6 @@ const K_TRACE_UPLOAD: u8 = 10;
 const K_SETUP: u8 = 11;
 const K_PEER_MAP: u8 = 12;
 const K_START_SUPERSTEP: u8 = 13;
-const K_REPORT_REQUEST: u8 = 14;
 const K_UNIT_GRANTED: u8 = 15;
 const K_FLUSH_FORKS: u8 = 16;
 const K_REQUEST_TOKEN_RELAY: u8 = 17;
@@ -859,7 +855,6 @@ impl Message {
         match self {
             Message::Hello { .. } => K_HELLO,
             Message::ComputeDone { .. } => K_COMPUTE_DONE,
-            Message::BarrierVote { .. } => K_BARRIER_VOTE,
             Message::AcquireUnit { .. } => K_ACQUIRE_UNIT,
             Message::ReleaseUnit { .. } => K_RELEASE_UNIT,
             Message::FlushDone { .. } => K_FLUSH_DONE,
@@ -870,7 +865,6 @@ impl Message {
             Message::Setup { .. } => K_SETUP,
             Message::PeerMap { .. } => K_PEER_MAP,
             Message::StartSuperstep { .. } => K_START_SUPERSTEP,
-            Message::ReportRequest { .. } => K_REPORT_REQUEST,
             Message::UnitGranted { .. } => K_UNIT_GRANTED,
             Message::FlushForks { .. } => K_FLUSH_FORKS,
             Message::RequestTokenRelay { .. } => K_REQUEST_TOKEN_RELAY,
@@ -900,17 +894,17 @@ impl Message {
                 put_u32(buf, *rank);
                 put_str(buf, data_addr);
             }
-            Message::ComputeDone { superstep }
-            | Message::StartSuperstep { superstep }
-            | Message::ReportRequest { superstep } => put_u64(buf, *superstep),
-            Message::BarrierVote {
+            Message::StartSuperstep { superstep } => put_u64(buf, *superstep),
+            Message::ComputeDone {
                 superstep,
-                active,
-                pending,
+                unhalted,
+                sent,
+                consumed,
             } => {
                 put_u64(buf, *superstep);
-                put_u64(buf, *active);
-                put_u64(buf, *pending);
+                put_u64(buf, *unhalted);
+                put_u64(buf, *sent);
+                put_u64(buf, *consumed);
             }
             Message::AcquireUnit { unit }
             | Message::ReleaseUnit { unit }
@@ -1091,17 +1085,12 @@ impl Message {
             },
             K_COMPUTE_DONE => Message::ComputeDone {
                 superstep: r.u64()?,
+                unhalted: r.u64()?,
+                sent: r.u64()?,
+                consumed: r.u64()?,
             },
             K_START_SUPERSTEP => Message::StartSuperstep {
                 superstep: r.u64()?,
-            },
-            K_REPORT_REQUEST => Message::ReportRequest {
-                superstep: r.u64()?,
-            },
-            K_BARRIER_VOTE => Message::BarrierVote {
-                superstep: r.u64()?,
-                active: r.u64()?,
-                pending: r.u64()?,
             },
             K_ACQUIRE_UNIT => Message::AcquireUnit { unit: r.u32()? },
             K_RELEASE_UNIT => Message::ReleaseUnit { unit: r.u32()? },

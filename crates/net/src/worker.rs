@@ -5,19 +5,20 @@
 //! A worker runs four threads:
 //!
 //! * the **compute** thread (the one `worker_main` occupies) — executes
-//!   supersteps on `StartSuperstep`, answers `ReportRequest` barrier
-//!   votes, blocks on `UnitGranted` during lock RPCs, and performs the
-//!   result uploads at `Halt`;
+//!   supersteps on `StartSuperstep` and ends each with a `ComputeDone`
+//!   that doubles as its barrier vote, blocks on `UnitGranted` during
+//!   lock RPCs, and performs the result uploads at `Halt`;
 //! * the **dispatcher** thread — reads the control connection; barrier
 //!   and grant frames forward to the compute thread, while `FlushForks`
 //!   (the C1 write-all on fork/token surrender) is serviced *inline*:
 //!   drain the staging buffer for the target, ship the batch, fence
 //!   until the peer acknowledges application, then report `FlushDone` —
 //!   this must run while the compute thread is busy or blocked;
-//! * the **mesh accept** thread — adopts incoming (and replacement)
-//!   data-plane connections;
+//! * the **mesh accept** thread (an [`Acceptor`]) — adopts incoming (and
+//!   replacement) data-plane connections;
 //! * the **maintenance** thread — heartbeats idle links and re-dials
-//!   dead ones with backoff.
+//!   dead ones with backoff; it parks between ticks and is unparked at
+//!   shutdown, so teardown never waits out a tick.
 //!
 //! Vertex execution mirrors the in-process engine's loop exactly: skip
 //! halted vertices without pending input, honor `vertex_allowed` gating
@@ -31,7 +32,7 @@ use std::collections::HashMap;
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
-use std::time::{Duration, SystemTime, UNIX_EPOCH};
+use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 use sg_algos::{DeltaPageRank, GreedyColoring, GreedyMis, Sssp, Wcc};
 use sg_engine::{AggregatorSet, Context, VertexProgram, WireCodec};
@@ -41,7 +42,7 @@ use sg_sync::{LockGranularity, Synchronizer};
 
 use crate::cluster::{build_technique, technique_from_label, GOODBYE_SUPERSTEP};
 use crate::fault::FaultInjector;
-use crate::link::{accept_handshake, CtrlConn, FrameReader, PeerHandler, PeerLink};
+use crate::link::{accept_handshake, Acceptor, CtrlConn, FrameReader, PeerHandler, PeerLink};
 use crate::wire::{
     BatchView, Message, MsgBatch, RunSpec, WireMetricRow, WireTraceEvent, WireTxn,
     PROTOCOL_VERSION, QUERY_OP_MULTI_LOOKUP, QUERY_OP_SNAP_CHECKSUM, QUERY_OP_SNAP_CLOSE,
@@ -284,6 +285,9 @@ struct Shared {
     ctrl: Arc<CtrlConn>,
     clock: Arc<Clock>,
     inbox: Mutex<Vec<PayloadQueue>>,
+    /// Messages ever queued into `inbox` (the pending-messages gauge is
+    /// this minus the compute thread's consumed count).
+    received: AtomicU64,
     outbound: Mutex<Outbound>,
     metrics: Arc<Metrics>,
     trace: Trace,
@@ -338,6 +342,7 @@ impl PeerHandler for InboxHandler {
         for (to, _from_v, payload) in batch.iter() {
             if let Some(q) = inbox.get_mut(to as usize) {
                 q.push(payload);
+                self.shared.received.fetch_add(1, Ordering::Relaxed);
             }
         }
     }
@@ -352,7 +357,6 @@ impl PeerHandler for InboxHandler {
 /// Frames the dispatcher forwards to the compute thread.
 enum Cmd {
     Start(u64),
-    Report(u64),
     Granted(u32),
     Halt,
     Disconnected,
@@ -419,6 +423,7 @@ where
         ctrl: Arc::clone(&ctrl),
         clock: Arc::clone(&clock),
         inbox: Mutex::new((0..n).map(|_| PayloadQueue::default()).collect()),
+        received: AtomicU64::new(0),
         outbound: Mutex::new(Outbound {
             staged: vec![MsgBatch::new(); spec.workers as usize],
             dirty: vec![false; spec.workers as usize],
@@ -473,39 +478,22 @@ where
     let shutdown = Arc::new(AtomicBool::new(false));
 
     // Accept thread: adopts initial and replacement connections.
-    let accept_handle = {
+    let acceptor = {
         let links = Arc::clone(&links);
         let clock = Arc::clone(&clock);
-        let shutdown = Arc::clone(&shutdown);
-        listener.set_nonblocking(true)?;
-        std::thread::Builder::new()
-            .name(format!("sg-net-accept-{rank}"))
-            .spawn(move || {
-                while !shutdown.load(Ordering::SeqCst) {
-                    match listener.accept() {
-                        Ok((stream, _)) => {
-                            let _ = stream.set_nonblocking(false);
-                            let links2 = Arc::clone(&links);
-                            let handshake = accept_handshake(&stream, &clock, rank, |peer| {
-                                links2
-                                    .get(peer as usize)
-                                    .and_then(|l| l.as_ref())
-                                    .map_or(1, |l| l.recv_next())
-                            });
-                            if let Ok((peer, resume, features)) = handshake {
-                                if let Some(Some(link)) = links.get(peer as usize) {
-                                    let _ = link.accept(stream, resume, features);
-                                }
-                            }
-                        }
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(Duration::from_millis(10));
-                        }
-                        Err(_) => break,
-                    }
+        Acceptor::spawn(listener, format!("sg-net-accept-{rank}"), move |stream| {
+            let handshake = accept_handshake(&stream, &clock, rank, |peer| {
+                links
+                    .get(peer as usize)
+                    .and_then(|l| l.as_ref())
+                    .map_or(1, |l| l.recv_next())
+            });
+            if let Ok((peer, resume, features)) = handshake {
+                if let Some(Some(link)) = links.get(peer as usize) {
+                    let _ = link.accept(stream, resume, features);
                 }
-            })
-            .expect("spawn accept thread")
+            }
+        })?
     };
 
     // Dial the peers this rank is responsible for (lower rank dials).
@@ -526,10 +514,10 @@ where
         std::thread::Builder::new()
             .name(format!("sg-net-maint-{rank}"))
             .spawn(move || {
-                let mut last_upload = std::time::Instant::now();
-                let mut last_audit = std::time::Instant::now();
+                let mut last_upload = Instant::now();
+                let mut last_audit = Instant::now();
                 // Audit batches ride the maintenance loop too, so the
-                // effective cadence is max(audit_ms, the loop's sleep).
+                // effective cadence is max(audit_ms, the loop's tick).
                 let tick = if audit_ms > 0 {
                     Duration::from_millis(audit_ms.min(100))
                 } else {
@@ -540,17 +528,19 @@ where
                         link.maintain();
                     }
                     if interval_ms > 0 && last_upload.elapsed().as_millis() as u64 >= interval_ms {
-                        last_upload = std::time::Instant::now();
+                        last_upload = Instant::now();
                         shared.send_telemetry();
                     }
                     if audit_ms > 0 && last_audit.elapsed().as_millis() as u64 >= audit_ms {
-                        last_audit = std::time::Instant::now();
+                        last_audit = Instant::now();
                         shared.ship_audit();
                     }
                     // Serving-plane GC: reclaim versions below the oldest
                     // pinned snapshot, off the compute path.
                     shared.serve.vstore.gc();
-                    std::thread::sleep(tick);
+                    // Unparked at shutdown; a spurious wake-up only runs
+                    // one tick early.
+                    std::thread::park_timeout(tick);
                 }
             })
             .expect("spawn maintenance thread")
@@ -572,12 +562,13 @@ where
     );
 
     shutdown.store(true, Ordering::SeqCst);
+    maintenance_handle.thread().unpark();
     for link in links.iter().flatten() {
         link.shutdown();
     }
     ctrl.close();
     let _ = dispatcher_handle.join();
-    let _ = accept_handle.join();
+    acceptor.stop();
     let _ = maintenance_handle.join();
     result
 }
@@ -605,7 +596,6 @@ fn dispatcher(
                 shared.wtel.superstep.set(superstep);
                 Some(Cmd::Start(superstep))
             }
-            Message::ReportRequest { superstep } => Some(Cmd::Report(superstep)),
             Message::UnitGranted { unit } => Some(Cmd::Granted(unit)),
             Message::Halt { .. } => Some(Cmd::Halt),
             Message::FlushForks {
@@ -807,10 +797,13 @@ where
 {
     let n = graph.num_vertices() as usize;
     let mut values: Vec<P::Value> = graph.vertices().map(|v| program.init(v, graph)).collect();
-    let mut halted = vec![false; n];
+    let mut vote = Vote {
+        halted: vec![false; n],
+        unhalted: shared.serve.owned.len() as u64,
+        sent: 0,
+        consumed: 0,
+    };
     let mut txns: Vec<WireTxn> = Vec::new();
-    let mut aggs = AggregatorSet::new();
-    program.register_aggregators(&mut aggs);
     let my_partitions: Vec<PartitionId> = pm
         .layout()
         .partitions_of_worker(WorkerId::new(rank))
@@ -832,19 +825,20 @@ where
                     rx,
                     &my_partitions,
                     &mut values,
-                    &mut halted,
+                    &mut vote,
                     &mut txns,
                     spec.record_history,
                 )?;
+                // The vote needs no delivery assumption: a message sent
+                // but not yet consumed anywhere keeps the cluster's summed
+                // `sent` above its summed `consumed`.
                 flush_all(shared, links)?;
-                shared.ctrl.send(&Message::ComputeDone { superstep: s })?;
-            }
-            Ok(Cmd::Report(s)) => {
-                let (active, pending) = barrier_vote(shared, pm, &my_partitions, &halted);
-                shared.ctrl.send(&Message::BarrierVote {
+                publish_gauges(shared, &vote);
+                shared.ctrl.send(&Message::ComputeDone {
                     superstep: s,
-                    active,
-                    pending,
+                    unhalted: vote.unhalted,
+                    sent: vote.sent,
+                    consumed: vote.consumed,
                 })?;
             }
             Ok(Cmd::Halt) => {
@@ -863,36 +857,34 @@ where
     }
 }
 
-/// Quiescent-state vote: a vertex is active if it has undelivered input
-/// or has not voted to halt; `pending` counts undelivered messages.
-fn barrier_vote(
-    shared: &Shared,
-    pm: &PartitionMap,
-    my_partitions: &[PartitionId],
-    halted: &[bool],
-) -> (u64, u64) {
-    let inbox = shared.inbox.lock().unwrap();
-    let mut active = 0u64;
-    let mut pending = 0u64;
-    for &p in my_partitions {
-        for &v in pm.vertices_in(p) {
-            let queued = inbox[v.index()].len() as u64;
-            pending += queued;
-            if queued > 0 || !halted[v.index()] {
-                active += 1;
-            }
-        }
-    }
-    drop(inbox);
-    shared.wtel.active.set(active);
-    shared.wtel.pending.set(pending);
+/// The compute thread's barrier state: per-vertex halt votes plus the
+/// three counts every `ComputeDone` reports. The coordinator converges
+/// when, over all workers, `unhalted` sums to 0 and `sent` to `consumed`.
+struct Vote {
+    halted: Vec<bool>,
+    /// Owned vertices whose `halted` flag is false.
+    unhalted: u64,
+    /// Messages this worker's vertices sent, cumulative over the run.
+    sent: u64,
+    /// Messages this worker's vertices drained from the inbox, cumulative.
+    consumed: u64,
+}
+
+/// Progress gauges at the end of a superstep: unhalted owned vertices,
+/// messages queued here but not yet consumed, and anything still staged.
+fn publish_gauges(shared: &Shared, vote: &Vote) {
+    let received = shared.received.load(Ordering::Relaxed);
+    shared.wtel.active.set(vote.unhalted);
+    shared
+        .wtel
+        .pending
+        .set(received.saturating_sub(vote.consumed));
     let staged: usize = {
         let ob = shared.outbound.lock().unwrap();
         ob.staged.iter().map(MsgBatch::len).sum()
     };
     shared.wtel.staged.set(staged as u64);
     shared.wtel.uptime_ns.set(wall_ns(shared.epoch_ns));
-    (active, pending)
 }
 
 /// Blocking lock RPC: request the unit, wait for the grant.
@@ -948,7 +940,7 @@ fn run_superstep<P>(
     rx: &mpsc::Receiver<Cmd>,
     my_partitions: &[PartitionId],
     values: &mut [P::Value],
-    halted: &mut [bool],
+    vote: &mut Vote,
     txns: &mut Vec<WireTxn>,
     record_history: bool,
 ) -> Result<(), NetError>
@@ -957,12 +949,12 @@ where
     P::Value: WireCodec,
     P::Message: WireCodec,
 {
-    let is_active = |shared: &Shared, halted: &[bool], v: VertexId| {
-        !halted[v.index()] || !shared.inbox.lock().unwrap()[v.index()].is_empty()
+    let is_active = |shared: &Shared, vote: &Vote, v: VertexId| {
+        !vote.halted[v.index()] || !shared.inbox.lock().unwrap()[v.index()].is_empty()
     };
     for &p in my_partitions {
         let vertices = pm.vertices_in(p).to_vec();
-        let has_work = vertices.iter().any(|&v| is_active(shared, halted, v));
+        let has_work = vertices.iter().any(|&v| is_active(shared, vote, v));
         match granularity {
             LockGranularity::Partition => {
                 if replica.unit_skippable(p.raw(), has_work) {
@@ -970,7 +962,7 @@ where
                 }
                 acquire_unit_rpc(shared, rx, s, p.raw())?;
                 for &v in &vertices {
-                    if !is_active(shared, halted, v) || !replica.vertex_allowed(s, v) {
+                    if !is_active(shared, vote, v) || !replica.vertex_allowed(s, v) {
                         continue;
                     }
                     run_vertex(
@@ -982,7 +974,7 @@ where
                         shared,
                         links,
                         values,
-                        halted,
+                        vote,
                         txns,
                         record_history,
                     );
@@ -996,7 +988,7 @@ where
                     continue;
                 }
                 for &v in &vertices {
-                    if !is_active(shared, halted, v) || !replica.vertex_allowed(s, v) {
+                    if !is_active(shared, vote, v) || !replica.vertex_allowed(s, v) {
                         continue;
                     }
                     // Only p-boundary vertices are philosophers; the
@@ -1017,7 +1009,7 @@ where
                         shared,
                         links,
                         values,
-                        halted,
+                        vote,
                         txns,
                         record_history,
                     );
@@ -1031,7 +1023,7 @@ where
                     continue;
                 }
                 for &v in &vertices {
-                    if !is_active(shared, halted, v) || !replica.vertex_allowed(s, v) {
+                    if !is_active(shared, vote, v) || !replica.vertex_allowed(s, v) {
                         continue;
                     }
                     run_vertex(
@@ -1043,7 +1035,7 @@ where
                         shared,
                         links,
                         values,
-                        halted,
+                        vote,
                         txns,
                         record_history,
                     );
@@ -1067,7 +1059,7 @@ fn run_vertex<P>(
     shared: &Shared,
     links: &[Option<PeerLink>],
     values: &mut [P::Value],
-    halted: &mut [bool],
+    vote: &mut Vote,
     txns: &mut Vec<WireTxn>,
     record_history: bool,
 ) where
@@ -1102,7 +1094,15 @@ fn run_vertex<P>(
         t0,
     );
     program.compute(&mut ctx, &messages);
-    halted[v.index()] = ctx.halted();
+    let now_halted = ctx.halted();
+    match (vote.halted[v.index()], now_halted) {
+        (false, true) => vote.unhalted -= 1,
+        (true, false) => vote.unhalted += 1,
+        _ => {}
+    }
+    vote.halted[v.index()] = now_halted;
+    vote.consumed += queued.len() as u64;
+    vote.sent += outgoing.len() as u64;
 
     // Publish the execution's result to the serving plane: one MVCC
     // transaction, committed here — the same instant the Lamport interval
@@ -1123,6 +1123,7 @@ fn run_vertex<P>(
         m.encode_into(&mut enc);
         if w == shared.rank {
             shared.inbox.lock().unwrap()[to.index()].push(&enc);
+            shared.received.fetch_add(1, Ordering::Relaxed);
             shared.metrics.inc(Counter::LocalMessages);
         } else {
             shared.metrics.inc(Counter::RemoteMessages);
@@ -1178,8 +1179,8 @@ fn run_vertex<P>(
 
 /// End-of-superstep write-all: every peer that received traffic since its
 /// last fence gets the residual batch plus a fence, so `ComputeDone`
-/// means "all my messages are applied" — the invariant both the barrier
-/// votes and the BSP-style message visibility rely on.
+/// means "all my messages are applied" — the invariant the BSP-style
+/// message visibility relies on.
 fn flush_all(shared: &Shared, links: &[Option<PeerLink>]) -> Result<(), NetError> {
     for (peer, slot) in links.iter().enumerate() {
         let Some(link) = slot.as_ref() else {
@@ -1272,6 +1273,9 @@ fn upload<V: WireCodec>(
     }
     shared.ctrl.send(&Message::ComputeDone {
         superstep: GOODBYE_SUPERSTEP,
+        unhalted: 0,
+        sent: 0,
+        consumed: 0,
     })?;
     Ok(())
 }

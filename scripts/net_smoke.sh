@@ -26,6 +26,15 @@ for technique in single-token dual-token vertex-lock partition-lock; do
         || { echo "FAIL: $technique not one-copy serializable"; exit 1; }
 done
 
+echo "-- run --trace writes a merged trace that sg-trace analyze accepts"
+SG_RESULTS_DIR="$SMOKE" "${CLUSTER[@]}" run --workers 2 --technique partition-lock \
+    --workload coloring --graph grid:6:6 --trace >"$SMOKE/run-traced.log"
+[ -f "$SMOKE/TRACE_net_run.json" ] || { echo "FAIL: run --trace wrote no trace"; exit 1; }
+cargo run -q -p sg-bench --release --bin sg-trace -- analyze "$SMOKE/TRACE_net_run.json" \
+    >"$SMOKE/analyze-run.log" || { echo "FAIL: sg-trace analyze rejected the run trace"; exit 1; }
+grep -q 'makespan attribution:' "$SMOKE/analyze-run.log" \
+    || { echo "FAIL: run trace did not analyze"; exit 1; }
+
 echo "-- injected connection kill mid-run recovers (partition-lock)"
 "${CLUSTER[@]}" run --workers 2 --technique partition-lock \
     --workload coloring --graph grid:6:6 --fault 0:kill=2 \

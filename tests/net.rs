@@ -37,11 +37,11 @@ fn every_message() -> Vec<Message> {
             rank: 3,
             data_addr: "127.0.0.1:4567".into(),
         },
-        Message::ComputeDone { superstep: 9 },
-        Message::BarrierVote {
+        Message::ComputeDone {
             superstep: 9,
-            active: 17,
-            pending: 4,
+            unhalted: 17,
+            sent: 40,
+            consumed: 36,
         },
         Message::AcquireUnit { unit: 42 },
         Message::ReleaseUnit { unit: 42 },
@@ -100,7 +100,6 @@ fn every_message() -> Vec<Message> {
             peers: vec![(0, "127.0.0.1:1".into()), (1, "127.0.0.1:2".into())],
         },
         Message::StartSuperstep { superstep: 1 },
-        Message::ReportRequest { superstep: 1 },
         Message::UnitGranted { unit: 8 },
         Message::FlushForks {
             target: 1,
@@ -179,11 +178,11 @@ fn batch_of(entries: &[(u32, u32, &[u8])]) -> MsgBatch {
 #[test]
 fn every_message_kind_round_trips_through_the_codec() {
     let msgs = every_message();
-    // All 29 kinds, no duplicates: the list genuinely covers the protocol.
+    // All 27 kinds, no duplicates: the list genuinely covers the protocol.
     let mut kinds: Vec<u8> = msgs.iter().map(Message::kind).collect();
     kinds.sort_unstable();
     kinds.dedup();
-    assert_eq!(kinds.len(), 29, "message list must cover every wire kind");
+    assert_eq!(kinds.len(), 27, "message list must cover every wire kind");
 
     for (i, msg) in msgs.into_iter().enumerate() {
         let frame = Frame {
@@ -268,12 +267,23 @@ fn malformed_frames_error_cleanly() {
         Frame::decode(&bytes[4..]),
         Err(WireError::BadKind(0xEE))
     ));
+    // The v5 barrier's second round trip (BarrierVote = 3, ReportRequest
+    // = 14) is gone from v6: those kind bytes are unknown now.
+    for retired in [3u8, 14] {
+        bytes[4] = retired;
+        assert_eq!(Frame::decode(&bytes[4..]), Err(WireError::BadKind(retired)));
+    }
 
     // Trailing garbage after a complete message.
     let mut bytes = Frame {
         seq: 1,
         clock: 1,
-        msg: Message::ComputeDone { superstep: 3 },
+        msg: Message::ComputeDone {
+            superstep: 3,
+            unhalted: 0,
+            sent: 5,
+            consumed: 5,
+        },
     }
     .encode();
     bytes.extend_from_slice(&[0, 0, 0]);
@@ -460,7 +470,7 @@ fn wire_codec_value_types_round_trip() {
 }
 
 #[test]
-fn handshake_rejects_a_v4_peer_outright() {
+fn handshake_rejects_a_v5_peer_outright() {
     use std::io::Write as _;
     let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().unwrap();
@@ -470,7 +480,7 @@ fn handshake_rejects_a_v4_peer_outright() {
             seq: 0,
             clock: 1,
             msg: Message::PeerHello {
-                version: 4,
+                version: 5,
                 rank: 1,
                 resume_from: 0,
                 features: 0,
@@ -481,11 +491,11 @@ fn handshake_rejects_a_v4_peer_outright() {
     });
     let (stream, _) = listener.accept().expect("accept");
     let clock = Clock::new();
-    let err = accept_handshake(&stream, &clock, 0, |_| 0).expect_err("v4 must be rejected");
+    let err = accept_handshake(&stream, &clock, 0, |_| 0).expect_err("v5 must be rejected");
     match err {
         NetError::Wire(WireError::VersionMismatch { ours, theirs }) => {
             assert_eq!(ours, PROTOCOL_VERSION);
-            assert_eq!(theirs, 4);
+            assert_eq!(theirs, 5);
         }
         other => panic!("expected a version mismatch, got {other}"),
     }
@@ -551,6 +561,7 @@ fn token_techniques_match_the_in_process_engine_exactly() {
             "{technique:?}: networked and in-process colorings diverged"
         );
         assert_eq!(wire.converged, local.converged);
+        assert_eq!(wire.supersteps, local.supersteps);
     }
 }
 
@@ -683,6 +694,51 @@ fn networked_pagerank_matches_a_combiner_free_in_process_run_bit_for_bit() {
             l.to_bits(),
             "vertex {v}: networked {w} != in-process {l}"
         );
+    }
+}
+
+#[test]
+fn sssp_on_an_alternating_ring_counts_late_messages_in_the_barrier() {
+    // On a directed ring alternating between two workers, each
+    // superstep's only active vertex sends to the other worker, which has
+    // already finished its (empty) superstep. A barrier that counted
+    // inboxes when each `ComputeDone` left would see no work anywhere and
+    // stop after the first hop; the sent/consumed counts must not.
+    let n = 12;
+    let ring: Vec<(u32, u32)> = (0..n).map(|v| (v, (v + 1) % n)).collect();
+    let g = Graph::from_edges(n, &ring);
+    let assignment = ring_alternating(n);
+    for technique in [Technique::SingleToken, Technique::PartitionLock] {
+        let mut cfg = ClusterConfig::new(2, technique, Workload::Sssp(0));
+        cfg.partitions_per_worker = 1;
+        cfg.explicit_partitions = Some(assignment.clone());
+        let wire = run_cluster(&g, &cfg).expect("cluster sssp");
+        let local = Runner::new(g.clone())
+            .workers(2)
+            .partitions_per_worker(1)
+            .threads_per_worker(1)
+            .technique(technique)
+            .explicit_partitions(assignment.iter().map(|&p| PartitionId::new(p)).collect())
+            .run_sssp(VertexId::new(0))
+            .expect("in-process sssp");
+        assert!(wire.converged, "{technique:?} did not converge");
+        let dist: Vec<u64> = wire.typed_values();
+        assert_eq!(dist, local.values, "{technique:?}: distances diverged");
+        assert_eq!(
+            dist[n as usize - 1],
+            u64::from(n) - 1,
+            "the far end is reached"
+        );
+        if technique == Technique::SingleToken {
+            // Token gating makes the schedule a function of the superstep.
+            assert_eq!(wire.supersteps, local.supersteps);
+        } else {
+            // Under partition-lock, whichever partition wins the shared
+            // fork first decides whether a hop crosses within one
+            // superstep, on both hosts. At worst every hop takes one
+            // superstep, plus the final non-improving delivery to v0.
+            assert!(wire.supersteps <= u64::from(n) + 1, "{}", wire.supersteps);
+        }
     }
 }
 
